@@ -10,7 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out. Each
+// Ablation benchmarks for the model's design choices (see
+// docs/performance.md for how to run and record benchmarks). Each
 // reports the quantity the choice controls as custom metrics so a sweep
 // is one `go test -bench Ablate` away.
 

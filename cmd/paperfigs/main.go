@@ -1,6 +1,7 @@
 // Command paperfigs regenerates every table and figure of the paper's
-// evaluation section on the simulator (see EXPERIMENTS.md for the
-// paper-vs-measured record).
+// evaluation section on the simulator (the README's Performance section
+// gives the Figure 6 numbers; docs/performance.md the recorded
+// trajectory).
 //
 // Usage:
 //

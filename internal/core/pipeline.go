@@ -811,10 +811,8 @@ func (m *Machine) fetch() {
 	}
 	for fetched := 0; fetched < m.cfg.FetchWidth && !m.fetchQ.Full(); {
 		var in *isa.Inst
-		var oflags uint8
 		if sfe.havePending {
 			in = &sfe.pendingInst
-			oflags = sfe.pendingFlags
 			sfe.havePending = false
 		} else {
 			if sfe.streamDone {
@@ -840,35 +838,19 @@ func (m *Machine) fetch() {
 				sfe.scratchInst = v
 				in = &sfe.scratchInst
 			}
-			if m.oracle != nil {
-				// Shared front-end oracle: the L1I lookup outcome was
-				// precomputed over the materialized trace; only a miss
-				// touches this machine (the L2 refill).
-				oflags = m.oracle.flags[m.oracleIdx]
-				m.oracleIdx++
-				if oflags&oracleMiss != 0 {
-					lat := m.mem.InstRefill(in.PC)
+			line := (in.PC + sfe.off) >> m.lineShift
+			if !sfe.haveFetchLine || line != sfe.lastFetchLine {
+				lat := m.mem.InstFetch(in.PC + sfe.off)
+				m.cov.ILat += uint64(lat)
+				sfe.lastFetchLine = line
+				sfe.haveFetchLine = true
+				if lat > m.cfg.Mem.L1I.HitLatency {
+					// Miss: the line arrives later; hold the
+					// instruction and resume then.
 					sfe.pendingInst = *in
-					sfe.pendingFlags = oflags
 					sfe.havePending = true
 					sfe.fetchResumeAt = m.now + uint64(lat)
 					return
-				}
-			} else {
-				line := (in.PC + sfe.off) >> m.lineShift
-				if !sfe.haveFetchLine || line != sfe.lastFetchLine {
-					lat := m.mem.InstFetch(in.PC + sfe.off)
-					m.cov.ILat += uint64(lat)
-					sfe.lastFetchLine = line
-					sfe.haveFetchLine = true
-					if lat > m.cfg.Mem.L1I.HitLatency {
-						// Miss: the line arrives later; hold the
-						// instruction and resume then.
-						sfe.pendingInst = *in
-						sfe.havePending = true
-						sfe.fetchResumeAt = m.now + uint64(lat)
-						return
-					}
 				}
 			}
 		}
@@ -891,15 +873,11 @@ func (m *Machine) fetch() {
 		fetched++
 		sfe.inFlight++
 		if in.Class.IsBranch() {
-			if m.oracle != nil {
-				fe.mispredict = oflags&oracleMispredict != 0
-			} else {
-				tgt := in.Target
-				if in.Taken {
-					tgt += sfe.off
-				}
-				fe.mispredict = m.pred.Update(in.PC+sfe.off, in.Taken, tgt)
+			tgt := in.Target
+			if in.Taken {
+				tgt += sfe.off
 			}
+			fe.mispredict = m.pred.Update(in.PC+sfe.off, in.Taken, tgt)
 			m.cov.Branches++
 			if fe.mispredict {
 				m.cov.Mispredicts++

@@ -42,18 +42,6 @@ type FidelityEvaluator interface {
 	WithSampling(harness.Sampling) Evaluator
 }
 
-// BatchEvaluator is an optional extension of Evaluator: an implementation
-// that can score a whole batch of candidates in one call, letting
-// candidates sharing a workload execute as lockstep batch groups over one
-// materialized trace (harness.ExecuteBatch). The engine type-asserts for
-// it and falls back to concurrent per-candidate Evaluate calls when the
-// evaluator does not implement it (e.g. the ringsimd queue-backed
-// evaluator, which batches server-side instead). All three returned
-// slices are parallel to cfgs.
-type BatchEvaluator interface {
-	EvaluateBatch(cfgs []core.Config, programs [][]string) ([]Objectives, []EvalStats, []error)
-}
-
 // SimEvaluator scores candidates locally: every workload program runs
 // through harness.Execute behind the content-addressed result store, and
 // the area objective comes from the Section 3.2 layout model. It is the
@@ -143,114 +131,6 @@ func (e *SimEvaluator) Evaluate(cfg core.Config, programs []string) (Objectives,
 		IPC:  sumIPC / float64(len(programs)),
 		Area: Area(cfg),
 	}, st, nil
-}
-
-// EvaluateBatch scores a whole candidate batch at once. The (config,
-// program) grid is flattened into cells, cached cells settle from the
-// store, and the misses execute through harness.ExecuteBatch — so all
-// candidates sharing a program advance in lockstep over its one
-// materialized trace instead of decoding it once per candidate. Results
-// are bit-identical to per-candidate Evaluate calls; a candidate whose
-// cells all succeed gets the same (mean IPC, area) reduction, and a
-// failing cell records the candidate's first error.
-func (e *SimEvaluator) EvaluateBatch(cfgs []core.Config, programs [][]string) ([]Objectives, []EvalStats, []error) {
-	e.init()
-	n := len(cfgs)
-	objs := make([]Objectives, n)
-	stats := make([]EvalStats, n)
-	errs := make([]error, n)
-
-	type cell struct {
-		cand int
-		req  harness.Request
-		key  string
-		ipc  float64
-		done bool
-	}
-	var cells []cell
-	counts := make([]int, n)
-	for i, cfg := range cfgs {
-		progs := programs[i]
-		if progs == nil {
-			progs = e.Programs
-		}
-		if len(progs) == 0 {
-			errs[i] = fmt.Errorf("dse: evaluator has no programs")
-			continue
-		}
-		counts[i] = len(progs)
-		for _, prog := range progs {
-			spec, err := workload.ParseSpec(prog)
-			if err != nil {
-				errs[i] = err
-				break
-			}
-			req := harness.Request{Config: cfg, Workload: spec, Insts: e.Insts, Warmup: e.Warmup, Sampling: e.Sampling}
-			key, err := results.NewRequest(req).Key()
-			if err != nil {
-				errs[i] = err
-				break
-			}
-			cells = append(cells, cell{cand: i, req: req, key: key})
-		}
-	}
-
-	var miss []int
-	for ci := range cells {
-		c := &cells[ci]
-		if errs[c.cand] != nil {
-			continue
-		}
-		if res, hit, err := e.Store.Get(c.key); err == nil && hit {
-			stats[c.cand].CacheHits++
-			c.ipc = res.Stats.IPC()
-			c.done = true
-			continue
-		}
-		miss = append(miss, ci)
-	}
-	if len(miss) > 0 {
-		reqs := make([]harness.Request, len(miss))
-		for k, ci := range miss {
-			reqs[k] = cells[ci].req
-		}
-		runs := harness.ExecuteBatch(reqs)
-		for k, ci := range miss {
-			c := &cells[ci]
-			stats[c.cand].Sims++
-			run := runs[k]
-			if run.Err != nil {
-				if errs[c.cand] == nil {
-					errs[c.cand] = fmt.Errorf("dse: %s/%s: %w", c.req.Config.Name, c.req.Workload.Name(), run.Err)
-				}
-				continue
-			}
-			res, err := results.FromRun(c.req, run)
-			if err != nil {
-				if errs[c.cand] == nil {
-					errs[c.cand] = err
-				}
-				continue
-			}
-			_ = e.Store.Put(c.key, res)
-			c.ipc = run.Stats.IPC()
-			c.done = true
-		}
-	}
-
-	sums := make([]float64, n)
-	for _, c := range cells {
-		if c.done {
-			sums[c.cand] += c.ipc
-		}
-	}
-	for i := range cfgs {
-		if errs[i] != nil {
-			continue
-		}
-		objs[i] = Objectives{IPC: sums[i] / float64(counts[i]), Area: Area(cfgs[i])}
-	}
-	return objs, stats, errs
 }
 
 // Area prices a configuration's cluster array with the paper's layout

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 )
 
@@ -268,13 +267,9 @@ type outcome struct {
 	err     error
 }
 
-// evaluateBatch scores a batch, preserving order. A BatchEvaluator gets
-// the whole batch in one call (lockstep grouping over shared traces);
-// anything else is scored concurrently per candidate.
+// evaluateBatch scores a batch concurrently, at most workers candidates
+// at a time, preserving order.
 func evaluateBatch(space *Space, ev Evaluator, batch []Candidate, workers int) []outcome {
-	if be, ok := ev.(BatchEvaluator); ok {
-		return evaluateBatchGrouped(space, be, batch)
-	}
 	outs := make([]outcome, len(batch))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
@@ -299,37 +294,5 @@ func evaluateBatch(space *Space, ev Evaluator, batch []Candidate, workers int) [
 		}(i, c)
 	}
 	wg.Wait()
-	return outs
-}
-
-// evaluateBatchGrouped materializes the batch's valid candidates and
-// hands them to the evaluator in one call.
-func evaluateBatchGrouped(space *Space, ev BatchEvaluator, batch []Candidate) []outcome {
-	outs := make([]outcome, len(batch))
-	var cfgs []core.Config
-	var progs [][]string
-	var idx []int // position in batch of each materialized candidate
-	for i, c := range batch {
-		cfg, err := space.Config(c)
-		if err != nil {
-			outs[i] = outcome{invalid: true}
-			continue
-		}
-		ps, err := space.Workloads(c)
-		if err != nil {
-			outs[i] = outcome{invalid: true}
-			continue
-		}
-		cfgs = append(cfgs, cfg)
-		progs = append(progs, ps)
-		idx = append(idx, i)
-	}
-	if len(cfgs) == 0 {
-		return outs
-	}
-	objs, stats, errs := ev.EvaluateBatch(cfgs, progs)
-	for k, i := range idx {
-		outs[i] = outcome{config: cfgs[k].Name, obj: objs[k], stats: stats[k], err: errs[k]}
-	}
 	return outs
 }

@@ -279,51 +279,24 @@ func (c *Coordinator) Enqueue(j results.Job) bool {
 // whole pool dying with it). It returns ok=false once the coordinator is
 // stopped and the pending pool is drained.
 func (c *Coordinator) Next() (results.Job, bool) {
-	jobs, ok := c.NextBatch(1)
-	if !ok {
-		return results.Job{}, false
-	}
-	return jobs[0], true
-}
-
-// NextBatch blocks like Next but claims up to max pending jobs sharing
-// the head job's workload, so a local executor can run them as one
-// batched lockstep group over a single materialized trace. With nothing
-// else sharing the head's workload it degenerates to Next.
-func (c *Coordinator) NextBatch(max int) ([]results.Job, bool) {
-	if max < 1 {
-		max = 1
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.pending) == 0 {
 		if c.closed {
-			return nil, false
+			return results.Job{}, false
 		}
 		c.cond.Wait()
 	}
 	jb := c.pending[0]
 	c.pending = c.pending[1:]
 	delete(c.byKey, jb.j.Key)
-	out := []results.Job{jb.j}
-	wk := workloadKey(jb.j)
-	for i := 0; i < len(c.pending) && len(out) < max; {
-		if workloadKey(c.pending[i].j) != wk {
-			i++
-			continue
-		}
-		nb := c.pending[i]
-		c.pending = append(c.pending[:i], c.pending[i+1:]...)
-		delete(c.byKey, nb.j.Key)
-		out = append(out, nb.j)
-	}
-	return out, true
+	return jb.j, true
 }
 
-// workloadKey identifies jobs that can share one materialized workload in
-// a batched lockstep group: same canonical workload spec (which encodes
-// per-stream budgets and seeds) and same request-level budgets. It is the
-// coordinator's mirror of the harness's grouping rule.
+// workloadKey identifies jobs that replay the same materialized trace
+// prefixes: same canonical workload spec (which encodes per-stream
+// budgets and seeds) and same request-level budgets. Leases group by it
+// so a worker fetches each trace once and keeps it in its trace cache.
 func workloadKey(j results.Job) string {
 	return fmt.Sprintf("%s|%d|%d", j.Request.WorkloadLabel(), j.Request.Insts, j.Request.Warmup)
 }
@@ -408,11 +381,11 @@ func (c *Coordinator) leaseAndSweep(workerID string, max int) ([]results.Job, er
 	}
 	// Grants are grouped by workload: after the FIFO head, every pending
 	// job sharing its workload joins the same lease (then the next head's
-	// workload, and so on). A worker thus receives runs it can execute as
-	// batched lockstep groups over one materialized trace — and fetches
-	// that trace from the coordinator once — instead of an arbitrary
-	// FIFO slice cutting across workloads. Starvation-free: the head of
-	// the queue is always granted first.
+	// workload, and so on). Grouping only sets order: a worker receives
+	// runs that replay one trace, fetches that trace from the coordinator
+	// once, and keeps its trace cache local, instead of an arbitrary FIFO
+	// slice cutting across workloads. Starvation-free: the head of the
+	// queue is always granted first.
 	var out []results.Job
 	for len(out) < max && len(c.pending) > 0 {
 		jb := c.pending[0]

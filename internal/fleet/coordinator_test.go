@@ -351,8 +351,8 @@ func testJobFor(t *testing.T, program string, clusters, iw int) results.Job {
 
 // TestLeaseGroupsByWorkload pins lease-time workload grouping: after the
 // FIFO head, every pending job sharing the head's workload joins the
-// grant, so a worker receives runs it can execute as one batched lockstep
-// group over a single materialized trace.
+// grant, so a worker receives runs that replay one trace and fetches it
+// once.
 func TestLeaseGroupsByWorkload(t *testing.T) {
 	c, _ := newTestCoordinator(t, time.Minute)
 	reg, err := c.Register("w1", 4)
@@ -397,28 +397,5 @@ func TestLeaseGroupsByWorkload(t *testing.T) {
 		if lbl := j.Request.WorkloadLabel(); lbl != "swim" {
 			t.Errorf("second grant %d is %s, want swim", i, lbl)
 		}
-	}
-}
-
-// TestNextBatchGroupsByWorkload pins the local executor's pop: the head
-// plus every pending job sharing its workload, up to max.
-func TestNextBatchGroupsByWorkload(t *testing.T) {
-	c, _ := newTestCoordinator(t, time.Minute)
-	c.Enqueue(testJobFor(t, "gcc", 4, 1))
-	c.Enqueue(testJobFor(t, "swim", 4, 1))
-	c.Enqueue(testJobFor(t, "gcc", 4, 2))
-
-	jobs, ok := c.NextBatch(8)
-	if !ok || len(jobs) != 2 {
-		t.Fatalf("NextBatch = %d jobs, ok=%v; want 2 gcc jobs", len(jobs), ok)
-	}
-	for i, j := range jobs {
-		if lbl := j.Request.WorkloadLabel(); lbl != "gcc" {
-			t.Errorf("batch member %d is %s, want gcc", i, lbl)
-		}
-	}
-	jobs, ok = c.NextBatch(8)
-	if !ok || len(jobs) != 1 || jobs[0].Request.WorkloadLabel() != "swim" {
-		t.Fatalf("second NextBatch = %+v, ok=%v; want the swim job", jobs, ok)
 	}
 }

@@ -30,11 +30,6 @@ type WorkerOptions struct {
 	// Capacity is how many simulations run concurrently.
 	// Default: GOMAXPROCS.
 	Capacity int
-	// Batch is the per-group member cap for batched lockstep execution
-	// of a leased batch: jobs sharing a workload advance together over
-	// one materialized trace (see harness.ExecuteBatch). 0 picks
-	// harness.DefaultBatchSize; 1 disables grouping.
-	Batch int
 	// Store optionally fronts the worker with its own result cache
 	// (typically a disk store shared across worker restarts): a leased
 	// key already present is completed without simulating.
@@ -95,9 +90,6 @@ type Worker struct {
 func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Capacity <= 0 {
 		opts.Capacity = runtime.GOMAXPROCS(0)
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = harness.DefaultBatchSize()
 	}
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 500 * time.Millisecond
@@ -281,9 +273,8 @@ func (w *Worker) fetchTrace(ctx context.Context, ref TraceRef) bool {
 
 // executeBatch runs the leased jobs and returns their records in lease
 // order: first a store pass (a leased key already cached completes
-// without simulating), then the rest as batched lockstep groups — jobs
-// sharing a workload advance together over one materialized trace, with
-// group-level parallelism bounded by the worker's capacity.
+// without simulating), then the rest through harness.GridRuns with
+// parallelism bounded by the worker's capacity.
 func (w *Worker) executeBatch(ctx context.Context, jobs []results.Job) []results.Result {
 	out := make([]results.Result, len(jobs))
 	done := make([]bool, len(jobs))
@@ -304,7 +295,7 @@ func (w *Worker) executeBatch(ctx context.Context, jobs []results.Job) []results
 		for k, i := range todo {
 			reqs[k] = jobs[i].Request.Harness()
 		}
-		runs := harness.GridRunsN(reqs, w.opts.Batch, w.opts.Capacity)
+		runs := harness.GridRuns(reqs, w.opts.Capacity)
 		for k, i := range todo {
 			out[i] = w.settleRun(jobs[i], reqs[k], runs[k])
 			done[i] = true

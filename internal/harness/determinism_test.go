@@ -9,27 +9,29 @@ import (
 	"repro/internal/workload"
 )
 
-// freshRun simulates one request the way the seed harness did — a fresh
-// generator-driven machine, no trace cache, no machine pool — and returns
-// its statistics. It is the reference the optimized Execute path must
+// freshRun simulates one request the way the seed harness did — fresh
+// generator-driven streams, no trace cache, no machine pool — and returns
+// its statistics. Each stream gets its own generator cut at its
+// StreamBudgets length, and every workload, single or mixed, goes through
+// core.NewMulti. It is the reference the optimized Execute path must
 // reproduce bit-for-bit.
 func freshRun(t *testing.T, req Request) core.Stats {
 	t.Helper()
-	prog := req.Workload.Streams[0].Program
-	prof, err := workload.ByName(prog)
-	if err != nil {
-		t.Fatal(err)
+	budgets := StreamBudgets(req.Workload, req.Insts, req.Warmup)
+	streams := make([]trace.Stream, len(budgets))
+	for i, s := range req.Workload.Streams {
+		gen, err := workload.NewStream(s.Program, s.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = trace.NewLimit(gen, budgets[i])
 	}
-	gen, err := workload.NewGenerator(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.New(req.Config, trace.NewLimit(gen, req.Warmup+req.Insts))
+	m, err := core.NewMulti(req.Config, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Warmup > 0 {
-		if err := runUntilCommitted(m, req.Warmup); err != nil {
+		if err := m.RunCommitted(req.Warmup); err != nil {
 			t.Fatal(err)
 		}
 		m.ResetStats()
@@ -43,31 +45,41 @@ func freshRun(t *testing.T, req Request) core.Stats {
 
 // TestMachineReuseDeterminism drives every paper configuration through the
 // production Execute path — shared materialized traces plus pooled,
-// Reset-recycled machines — and requires statistics identical to a fresh
-// generator-driven machine. Running all configs sequentially also forces
-// pool recycling across different cluster counts and architectures, which
-// is exactly the state-leak surface Reset must seal.
+// Reset-recycled machines — and requires statistics identical to fresh
+// generator-driven machines. The inputs cover single programs, a seeded
+// synthetic spec, and 2- and 3-stream mixes (the 3-stream warm-up does
+// not divide evenly, so the remainder split is exercised). Running all
+// configs sequentially also forces pool recycling across different
+// cluster counts, architectures and stream counts, which is exactly the
+// state-leak surface Reset must seal.
 func TestMachineReuseDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full paper grid")
 	}
 	const insts, warmup = 12_000, 2_000
-	programs := []string{"gcc", "swim"}
+	if warmup%3 == 0 {
+		t.Fatal("warm-up must not split evenly over the 3-stream mix")
+	}
+	workloads := []string{"gcc", "swim", "synth(phases=3,plen=2000)@5", "gcc+swim", "mcf+swim+gzip"}
 	for _, cfg := range PaperConfigs() {
-		for _, prog := range programs {
-			req := Request{Config: cfg, Workload: workload.Single(prog), Insts: insts, Warmup: warmup}
+		for _, name := range workloads {
+			spec, err := workload.ParseSpec(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := Request{Config: cfg, Workload: spec, Insts: insts, Warmup: warmup}
 			want := freshRun(t, req)
 			// Twice through the pool: the first run may construct, the
 			// second is guaranteed to reuse a machine that just ran a
-			// different (config, program) pair.
+			// different (config, workload) pair.
 			for round := 0; round < 2; round++ {
 				run := Execute(req)
 				if run.Err != nil {
-					t.Fatalf("%s/%s round %d: %v", cfg.Name, prog, round, run.Err)
+					t.Fatalf("%s/%s round %d: %v", cfg.Name, name, round, run.Err)
 				}
 				if !reflect.DeepEqual(run.Stats, want) {
 					t.Errorf("%s/%s round %d: pooled stats diverged\n got %+v\nwant %+v",
-						cfg.Name, prog, round, run.Stats, want)
+						cfg.Name, name, round, run.Stats, want)
 				}
 			}
 		}

@@ -79,81 +79,86 @@ var machinePool sync.Pool
 // program×seed and replayed across configurations) and the machine from
 // a pool of recycled simulators. Multi-stream workloads run every stream
 // on one machine under ICOUNT fetch arbitration, with per-stream
-// statistics attached to the returned Stats.
+// statistics attached to the returned Stats. The warm-up instructions
+// run through the same machine before its statistics are reset.
 func Execute(req Request) Run {
 	if req.Sampling.Enabled() {
 		return executeSampled(req)
 	}
-	spec := req.Workload
-	out := Run{Config: req.Config, Workload: spec.Name()}
-	if err := spec.Validate(); err != nil {
-		out.Err = err
-		return out
-	}
-	cls, err := spec.Class()
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Class = cls
-	// Warm-up: the generator produces the stream; skipping instructions
-	// before the measured window warms the predictor and caches less
-	// faithfully than re-running, so we simply include a warm-up segment
-	// in the same machine and subtract nothing — the paper's own skip
-	// happens before its measured window on a warm machine. We instead
-	// run warm-up instructions through the machine and reset statistics.
-	// Each stream is materialized long enough to cover its measured
-	// budget plus an even share of the warm-up. Streams are built before
-	// a machine is taken from the pool, so a materialization failure
-	// never discards a pooled machine.
-	n := len(spec.Streams)
-	var m *core.Machine
-	if n == 1 {
-		s := spec.Streams[0]
-		stream, serr := DefaultTraceCache.Stream(s.Program, s.Seed, req.Warmup+streamBudget(s, req.Insts))
-		if serr != nil {
-			out.Err = serr
-			return out
-		}
-		if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
-			m, err = pooled, pooled.Reset(req.Config, stream)
-		} else {
-			m, err = core.New(req.Config, stream)
-		}
-	} else {
-		streams := make([]trace.Stream, n)
-		for i, s := range spec.Streams {
-			warm := req.Warmup / uint64(n)
-			if uint64(i) < req.Warmup%uint64(n) {
-				warm++
-			}
-			streams[i], err = DefaultTraceCache.Stream(s.Program, s.Seed, warm+streamBudget(s, req.Insts))
-			if err != nil {
-				out.Err = err
-				return out
-			}
-		}
-		if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
-			m, err = pooled, pooled.ResetMulti(req.Config, streams)
-		} else {
-			m, err = core.NewMulti(req.Config, streams)
-		}
-	}
-	if err != nil {
-		out.Err = err
+	out, m := load(req)
+	if m == nil {
 		return out
 	}
 	defer machinePool.Put(m)
 	if req.Warmup > 0 {
-		if err := runUntilCommitted(m, req.Warmup); err != nil {
+		if err := m.RunCommitted(req.Warmup); err != nil {
 			out.Err = err
 			return out
 		}
 		m.ResetStats()
 	}
-	st, err := m.Run(0)
-	out.Stats = st
-	out.Err = err
+	out.Stats, out.Err = m.Run(0)
+	return out
+}
+
+// load validates the request, materializes each stream at its
+// StreamBudgets length from the shared trace cache, and takes a pooled
+// machine reset onto the streams. The returned Run carries the request's
+// identity and class; when the machine is nil its Err says why. Streams
+// are built before a machine is taken from the pool, so a
+// materialization failure never discards a pooled machine.
+func load(req Request) (Run, *core.Machine) {
+	spec := req.Workload
+	out := Run{Config: req.Config, Workload: spec.Name()}
+	if err := spec.Validate(); err != nil {
+		out.Err = err
+		return out, nil
+	}
+	cls, err := spec.Class()
+	if err != nil {
+		out.Err = err
+		return out, nil
+	}
+	out.Class = cls
+	budgets := StreamBudgets(spec, req.Insts, req.Warmup)
+	streams := make([]trace.Stream, len(budgets))
+	for i, s := range spec.Streams {
+		if streams[i], err = DefaultTraceCache.Stream(s.Program, s.Seed, budgets[i]); err != nil {
+			out.Err = err
+			return out, nil
+		}
+	}
+	var m *core.Machine
+	if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
+		m, err = pooled, pooled.ResetMulti(req.Config, streams)
+	} else {
+		m, err = core.NewMulti(req.Config, streams)
+	}
+	if err != nil {
+		out.Err = err
+		return out, nil
+	}
+	return out, m
+}
+
+// StreamBudgets returns the instruction prefix each stream of spec must
+// materialize for a request with the given request-level budgets: the
+// measured budget (the stream's own Insts, or the request default) plus
+// the stream's share of the warmup window, split evenly with the
+// remainder going to the leading streams. It is the single definition of
+// per-stream trace length, shared by Execute, ExecuteSampled and the
+// fleet's coordinator-served trace refs, so a worker prefetching a trace
+// gets exactly the prefix its simulations will consume.
+func StreamBudgets(spec workload.Spec, insts, warmup uint64) []uint64 {
+	n := uint64(len(spec.Streams))
+	out := make([]uint64, n)
+	for i, s := range spec.Streams {
+		warm := warmup / n
+		if uint64(i) < warmup%n {
+			warm++
+		}
+		out[i] = warm + streamBudget(s, insts)
+	}
 	return out
 }
 
@@ -163,12 +168,6 @@ func streamBudget(s workload.StreamSpec, def uint64) uint64 {
 		return s.Insts
 	}
 	return def
-}
-
-// runUntilCommitted runs the machine until it has committed at least n
-// instructions (or drained), fast-forwarding idle stall windows.
-func runUntilCommitted(m *core.Machine, n uint64) error {
-	return m.RunCommitted(n)
 }
 
 // Expand turns a (configuration × workload) grid into the flat request
@@ -219,37 +218,23 @@ func ExpandSampled(configs []core.Config, workloads []string, insts, warmup uint
 	return reqs, nil
 }
 
-// Grid runs every (config, workload) pair across a fixed worker pool and
-// returns results keyed by configuration name and workload label.
-// Requests sharing a workload run as one batched lockstep group (see
-// batch.go), so each workload's trace is materialized and front-end
-// annotated once for all configurations; workers pull whole groups, and
-// the pool size is min(GOMAXPROCS, groups). The order of workers is
-// nondeterministic but each simulation is fully deterministic, so the
-// result set is reproducible.
+// Grid runs every (config, workload) pair across a worker pool of
+// GOMAXPROCS goroutines and returns results keyed by configuration name
+// and workload label. The order of workers is nondeterministic but each
+// simulation is fully deterministic, so the result set is reproducible.
 func Grid(configs []core.Config, workloads []string, insts, warmup uint64) (map[Key]Run, error) {
-	return GridN(configs, workloads, insts, warmup, 0)
+	return GridSampled(configs, workloads, insts, warmup, Sampling{})
 }
 
-// GridN is Grid with an explicit per-group member cap for the batched
-// lockstep executor: 0 picks DefaultBatchSize, 1 disables grouping
-// entirely (every request simulates its own trace pass).
-func GridN(configs []core.Config, workloads []string, insts, warmup uint64, maxGroup int) (map[Key]Run, error) {
-	return GridSampledN(configs, workloads, insts, warmup, maxGroup, Sampling{})
-}
-
-// GridSampledN is GridN at a selected execution fidelity: the zero
+// GridSampled is Grid at a selected execution fidelity: the zero
 // Sampling value runs the grid exact, an enabled one runs every cell
 // with interval sampling (see ExecuteSampled).
-func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint64, maxGroup int, sp Sampling) (map[Key]Run, error) {
+func GridSampled(configs []core.Config, workloads []string, insts, warmup uint64, sp Sampling) (map[Key]Run, error) {
 	reqs, err := ExpandSampled(configs, workloads, insts, warmup, sp)
 	if err != nil {
 		return nil, err
 	}
-	if maxGroup <= 0 {
-		maxGroup = DefaultBatchSize()
-	}
-	results := GridRuns(reqs, maxGroup)
+	results := GridRuns(reqs, runtime.GOMAXPROCS(0))
 	out := make(map[Key]Run, len(results))
 	for _, r := range results {
 		if r.Err != nil {
@@ -260,25 +245,13 @@ func GridSampledN(configs []core.Config, workloads []string, insts, warmup uint6
 	return out, nil
 }
 
-// GridRuns executes the requests across a worker pool with batched
-// lockstep grouping at the given per-group cap (1 disables grouping),
-// returning results in request order. It is the parallel core of Grid,
-// exposed so the server's sweep executor and the CLI can share it.
-func GridRuns(reqs []Request, maxGroup int) []Run {
-	return GridRunsN(reqs, maxGroup, runtime.GOMAXPROCS(0))
-}
-
-// GridRunsN is GridRuns with an explicit worker-pool size (fleet workers
-// bound it to their advertised capacity instead of GOMAXPROCS).
-func GridRunsN(reqs []Request, maxGroup, workers int) []Run {
+// GridRuns executes the requests through Execute on a pool of at most
+// workers goroutines, returning results in request order. It is the
+// parallel core of Grid, shared with the fleet worker, which bounds the
+// pool to its advertised capacity.
+func GridRuns(reqs []Request, workers int) []Run {
 	results := make([]Run, len(reqs))
-	groups := requestGroups(reqs, maxGroup)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
+	workers = min(max(workers, 1), len(reqs))
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	wg.Add(workers)
@@ -286,11 +259,11 @@ func GridRunsN(reqs []Request, maxGroup, workers int) []Run {
 		go func() {
 			defer wg.Done()
 			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= len(groups) {
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
 					return
 				}
-				executeGroup(reqs, groups[gi], results)
+				results[i] = Execute(reqs[i])
 			}
 		}()
 	}

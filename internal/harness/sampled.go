@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // Sampling configures SMARTS-style interval sampling for one request:
@@ -110,7 +109,7 @@ type SampledInfo struct {
 }
 
 // Process-wide sampled-execution counters, exported through /metrics on
-// every node (same pattern as the batch and trace-cache counters).
+// every node (same pattern as the trace-cache counters).
 var (
 	sampledRuns          atomic.Uint64
 	sampledFFInsts       atomic.Uint64
@@ -152,64 +151,13 @@ func ExecuteSampled(req Request) Run {
 
 func executeSampled(req Request) Run {
 	sp := req.Sampling
-	spec := req.Workload
-	out := Run{Config: req.Config, Workload: spec.Name()}
 	if err := sp.Validate(); err != nil {
-		out.Err = err
-		return out
+		return Run{Config: req.Config, Workload: req.Workload.Name(), Err: err}
 	}
-	if err := spec.Validate(); err != nil {
-		out.Err = err
-		return out
-	}
-	cls, err := spec.Class()
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Class = cls
-
 	// Materialize the same streams an exact run of this request would,
 	// so the trace-cache entries are shared across fidelities.
-	n := len(spec.Streams)
-	var m *core.Machine
-	var budget uint64 // measured budget: total materialized minus warm-up
-	if n == 1 {
-		s := spec.Streams[0]
-		budget = streamBudget(s, req.Insts)
-		stream, serr := DefaultTraceCache.Stream(s.Program, s.Seed, req.Warmup+budget)
-		if serr != nil {
-			out.Err = serr
-			return out
-		}
-		if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
-			m, err = pooled, pooled.Reset(req.Config, stream)
-		} else {
-			m, err = core.New(req.Config, stream)
-		}
-	} else {
-		streams := make([]trace.Stream, n)
-		for i, s := range spec.Streams {
-			warm := req.Warmup / uint64(n)
-			if uint64(i) < req.Warmup%uint64(n) {
-				warm++
-			}
-			sb := streamBudget(s, req.Insts)
-			budget += sb
-			streams[i], err = DefaultTraceCache.Stream(s.Program, s.Seed, warm+sb)
-			if err != nil {
-				out.Err = err
-				return out
-			}
-		}
-		if pooled, _ := machinePool.Get().(*core.Machine); pooled != nil {
-			m, err = pooled, pooled.ResetMulti(req.Config, streams)
-		} else {
-			m, err = core.NewMulti(req.Config, streams)
-		}
-	}
-	if err != nil {
-		out.Err = err
+	out, m := load(req)
+	if m == nil {
 		return out
 	}
 	defer machinePool.Put(m)
@@ -239,6 +187,11 @@ func executeSampled(req Request) Run {
 	// deltas a paired comparison. The offset is a pure function of the
 	// request, keeping sampled results deterministic and
 	// content-addressable.
+	spec := req.Workload
+	var budget uint64 // measured budget across streams, warm-up excluded
+	for _, s := range spec.Streams {
+		budget += streamBudget(s, req.Insts)
+	}
 	ff := sp.Interval - sp.Warm - sp.Window
 	seed := uint64(0x9E3779B97F4A7C15)
 	for _, b := range spec.Name() {

@@ -108,24 +108,19 @@ func (s *Server) dispatchOne(key string) {
 }
 
 // fleetWorker is the local fallback executor in fleet mode: it pulls
-// jobs from the same pool remote leases draw from — a batch at a time,
-// grouped by shared workload where the coordinator can — and runs them
-// through the batched runMany path.
+// jobs one at a time from the same pool remote leases draw from and
+// resolves each through runOne.
 func (s *Server) fleetWorker() {
 	defer s.wg.Done()
 	for {
-		jobs, ok := s.fleet.NextBatch(s.opts.Batch)
+		job, ok := s.fleet.Next()
 		if !ok {
 			return
 		}
 		if s.killed.Load() {
 			continue
 		}
-		keys := make([]string, len(jobs))
-		for i, j := range jobs {
-			keys[i] = j.Key
-		}
-		s.runMany(keys)
+		s.runOne(job.Key)
 	}
 }
 

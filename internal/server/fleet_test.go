@@ -2,11 +2,9 @@ package server
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -265,8 +263,7 @@ func TestFleetOfZeroFallsBackLocally(t *testing.T) {
 // TestFleetServesTracesForSharedWorkload is the coordinator-served-trace
 // acceptance path: a sweep whose members all share one (never before
 // materialized) workload, executed by a remote worker, must be satisfied
-// with coordinator trace fetches and zero local regenerations — and the
-// batch metrics rows must be exposed on /metrics.
+// with coordinator trace fetches and zero local regenerations.
 func TestFleetServesTracesForSharedWorkload(t *testing.T) {
 	_, hs := newFleetServer(t, results.NewMemoryLRU(256), fleet.CoordinatorOptions{})
 	w, _ := startWorker(t, hs.URL, "fetcher", nil)
@@ -296,24 +293,5 @@ func TestFleetServesTracesForSharedWorkload(t *testing.T) {
 	}
 	if st.TraceRegens != 0 {
 		t.Errorf("worker regenerated %d traces despite the coordinator serving them", st.TraceRegens)
-	}
-	// The batch amortization counters are exposed for operators.
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	metrics, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		"ringsimd_batch_groups_total",
-		"ringsimd_batch_runs_total",
-		"ringsimd_batch_amortized_decodes_total",
-	} {
-		if !strings.Contains(string(metrics), name) {
-			t.Errorf("/metrics missing %s", name)
-		}
 	}
 }

@@ -325,18 +325,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			{"ringsimd_trace_cache_hits_total", "Stream requests served from an existing trace-cache entry.", "counter", tc.Hits},
 			{"ringsimd_trace_cache_misses_total", "Stream requests that materialized a new entry or fell back to a private generator.", "counter", tc.Misses},
 		}...)
-	// Batched lockstep execution: how much decode work the grouping is
-	// amortizing away.
-	bs := harness.BatchStatsSnapshot()
-	rows = append(rows,
-		[]struct {
-			name, help, kind string
-			val              uint64
-		}{
-			{"ringsimd_batch_groups_total", "Lockstep batch groups executed (2+ runs sharing one trace).", "counter", bs.Groups},
-			{"ringsimd_batch_runs_total", "Runs executed as members of a lockstep batch group.", "counter", bs.GroupedRuns},
-			{"ringsimd_batch_amortized_decodes_total", "Trace materializations avoided by lockstep grouping.", "counter", bs.AmortizedDecodes},
-		}...)
 	// Sampled simulation: how much of the instruction volume ran as cheap
 	// functional fast-forward instead of detailed timing.
 	ss := harness.SampledStatsSnapshot()

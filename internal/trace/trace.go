@@ -62,11 +62,6 @@ func (s *Slice) NextRef() *isa.Inst {
 // Reset rewinds the stream to the beginning.
 func (s *Slice) Reset() { s.pos = 0 }
 
-// Insts returns the underlying instruction slice (shared, immutable
-// storage — callers must not modify it). Batch execution uses it to build
-// shared front-end annotations over the materialized trace.
-func (s *Slice) Insts() []isa.Inst { return s.insts }
-
 // Len returns the total number of instructions in the underlying slice.
 func (s *Slice) Len() int { return len(s.insts) }
 
